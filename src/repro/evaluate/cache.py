@@ -195,6 +195,7 @@ class DurationCache:
         target = Path(path) if path is not None else self.spill_path
         if target is None:
             raise ValueError("no spill path configured")
+        from ..measure.bank import write_atomic
         from ..measure.sweep import MODEL_VERSION
 
         payload = {
@@ -202,8 +203,7 @@ class DurationCache:
             "model_version": MODEL_VERSION,
             "entries": dict(self._entries),
         }
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(json.dumps(payload, sort_keys=True))
+        write_atomic(target, json.dumps(payload, sort_keys=True))
         _obs_count("cache.spill", len(self._entries))
         return target
 

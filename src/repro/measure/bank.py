@@ -10,6 +10,8 @@ durations".
 from __future__ import annotations
 
 import json
+import os
+import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Tuple
@@ -17,6 +19,25 @@ from typing import Dict, Tuple
 import numpy as np
 
 from ..strategies.base import ActionSpace
+
+
+def write_atomic(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` through a same-directory temp file.
+
+    ``os.replace`` swaps the finished file in, so a crash mid-write
+    leaves the previous file (or none) in place, never a truncated one.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(
+        dir=path.parent, prefix=f".{path.name}.", suffix=".tmp"
+    )
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 @dataclass
@@ -106,8 +127,7 @@ class MeasurementBank:
             "true_means": {str(n): float(v) for n, v in self.true_means.items()},
             "rigid": {str(n): float(v) for n, v in self.rigid.items()},
         }
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(payload))
+        write_atomic(path, json.dumps(payload))
 
     @classmethod
     def load(cls, path: Path) -> "MeasurementBank":

@@ -237,11 +237,16 @@ def cached_bank(
     ``workers=0`` (default) reads ``REPRO_SWEEP_WORKERS`` from the
     environment (1 if unset); results are identical for any value.
     ``cache`` is a finer-grained duration memo consulted only when the
-    whole-bank JSON is absent (see :func:`sweep_scenario`).
+    whole-bank JSON is absent (see :func:`sweep_scenario`).  An
+    unreadable bank file (truncated or corrupt) counts as absent and is
+    rebuilt in place.
     """
     path = _cache_path(scenario, augment, seed, include_rigid)
     if path.exists():
-        return MeasurementBank.load(path)
+        try:
+            return MeasurementBank.load(path)
+        except (ValueError, KeyError, TypeError):
+            pass  # corrupt bank: rebuild it below
     if workers <= 0:
         import os
 

@@ -65,6 +65,19 @@ class TestCache:
         cached_bank(scenario, augment=3, seed=9)
         assert list(tmp_path.glob("bank_*.json"))
 
+    def test_truncated_bank_is_rebuilt(self, tmp_path):
+        scenario = get_scenario("b")
+        b1 = cached_bank(scenario, augment=3, seed=9)
+        (path,) = tmp_path.glob("bank_*.json")
+        good = path.read_text()
+        path.write_text(good[: len(good) // 2])
+        b2 = cached_bank(scenario, augment=3, seed=9)
+        assert b2.actions == b1.actions
+        for n in b1.actions:
+            assert np.array_equal(b2.samples[n], b1.samples[n])
+        assert path.read_text() == good
+        assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
+
 
 class TestSweep2D:
     def test_grid_shape_and_positivity(self):

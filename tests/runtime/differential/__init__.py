@@ -1,16 +1,16 @@
-"""Differential-testing subsystem gating the wave-batched fast engine.
+"""Differential-testing subsystem gating the fast engine.
 
 Every test in this package runs the same task graph through the
-reference :class:`repro.runtime.Simulator` and the wave-batched
+reference :class:`repro.runtime.Simulator` and the plan-compiled
 :class:`repro.runtime.FastSimulator` and demands **bit identity** (see
 :mod:`tests.runtime.differential.oracle`):
 
 * ``test_scenario_table`` -- the locked a..p scenario menu;
 * ``test_fuzz_corpus`` -- a >= 50-seed fuzzed corpus across both
   workload families (cholesky iterations + map/shuffle/reduce);
-* ``test_adversarial`` -- hand-built DAGs aimed at the fast path's
-  fallback boundaries (cross-node chains, NIC contention, priority
-  inversions, broken waves);
+* ``test_adversarial`` -- hand-built DAGs aimed at what the flat plan
+  re-implements (cross-node chains, NIC contention, priority
+  inversions and ties, worker-kind preference);
 * ``test_defects`` -- the seeded-defect harness: each engine mutation
   in ``repro.runtime.simfast.DEFECT_KINDS`` must be caught;
 * ``test_batch_sweep`` -- :class:`repro.measure.batch.ScenarioBatch`
